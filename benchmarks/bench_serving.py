@@ -42,7 +42,7 @@ from concurrent.futures import wait
 
 import numpy as np
 
-from harness import capture_metrics, counter_rate
+from harness import capture_metrics, counter_rate, measure
 from repro import Database, RavenSession, Table
 from repro.ml import DecisionTreeClassifier, Pipeline, StandardScaler
 from repro.observability import events
@@ -149,22 +149,28 @@ def bench_micro_batching(
     template = rows[0]
     prepared = session.prepare(PREDICT_SQL, data={"requests": template})
 
-    # Baseline: one row at a time through the (already cheap) prepared path.
-    start = time.perf_counter()
-    for row in rows:
-        prepared.execute(data={"requests": row})
-    unbatched_seconds = time.perf_counter() - start
+    def unbatched() -> None:
+        # Baseline: one row at a time through the (already cheap)
+        # prepared path.
+        for row in rows:
+            prepared.execute(data={"requests": row})
 
-    start = time.perf_counter()
-    with MicroBatcher(
-        lambda table: prepared.execute(data={"requests": table}),
-        max_batch_rows=max_batch_rows,
-        max_wait_seconds=0.005,
-    ) as batcher:
-        futures = [batcher.submit(row) for row in rows]
-        batcher.flush()
-        wait(futures, timeout=600)
-    batched_seconds = time.perf_counter() - start
+    futures: list = []
+
+    def batched() -> None:
+        with MicroBatcher(
+            lambda table: prepared.execute(data={"requests": table}),
+            max_batch_rows=max_batch_rows,
+            max_wait_seconds=0.005,
+        ) as batcher:
+            futures[:] = [batcher.submit(row) for row in rows]
+            batcher.flush()
+            wait(futures, timeout=600)
+
+    # Each side is the median of warm repeats: a single bare window let
+    # one slow scheduler slice on either side decide the claim.
+    unbatched_seconds = measure(unbatched, repeats=5, warmup=1)
+    batched_seconds = measure(batched, repeats=5, warmup=1)
     for future in futures:
         assert future.result().num_rows == 1
 

@@ -96,7 +96,7 @@ def _render(graph: IRGraph, node: IRNode) -> str:
         if groups:
             sql += f" GROUP BY {', '.join(groups)}"
         return sql
-    if op in ("mld.pipeline", "la.tensor_graph", "mld.clustered_predictor"):
+    if op in ("mld.pipeline", "la.tensor_graph"):
         return _render_predict(graph, node)
     if op == "udf.python":
         model_ref = node.attrs.get("model_ref")

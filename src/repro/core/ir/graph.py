@@ -203,9 +203,6 @@ class IRGraph:
                 "ra.distinct",
                 "ra.aggregate",
                 "mld.pipeline",
-                "mld.transformer",
-                "mld.predictor",
-                "mld.clustered_predictor",
                 "la.tensor_graph",
                 "udf.python",
             }

@@ -53,9 +53,6 @@ RA_OPS = frozenset(
 MLD_OPS = frozenset(
     {
         "mld.pipeline",  # a whole fitted model pipeline (featurizers+predictor)
-        "mld.transformer",  # one featurizer step
-        "mld.predictor",  # one final estimator
-        "mld.clustered_predictor",  # model-clustering dispatch (one model/cluster)
     }
 )
 
@@ -138,12 +135,6 @@ class IRNode:
                 steps = getattr(pipeline, "steps", None)
                 if steps:
                     detail = "->".join(type(s).__name__ for _, s in steps)
-        elif self.op in ("mld.predictor", "mld.transformer"):
-            model = self.attrs.get("model") or self.attrs.get("transformer")
-            detail = type(model).__name__ if model is not None else ""
-        elif self.op == "mld.clustered_predictor":
-            models = self.attrs.get("models", [])
-            detail = f"{len(models)} cluster models"
         elif self.op == "la.tensor_graph":
             graph = self.attrs.get("graph")
             if graph is not None:

@@ -66,7 +66,7 @@ def infer_schema(graph: IRGraph, node: IRNode) -> Schema:
             dtype = DataType.INT if func == "COUNT" else DataType.FLOAT
             columns.append(Column(alias, dtype))
         return Schema(tuple(columns))
-    if op in ("mld.pipeline", "mld.predictor", "mld.clustered_predictor", "la.tensor_graph"):
+    if op in ("mld.pipeline", "la.tensor_graph"):
         child = infer_schema(graph, graph.node(node.inputs[0]))
         alias = node.attrs.get("alias")
         extra = []
@@ -75,15 +75,6 @@ def infer_schema(graph: IRGraph, node: IRNode) -> Schema:
             out_name = f"{alias}.{name}" if alias else name
             extra.append(Column(out_name, dtype))
         return Schema(child.columns + tuple(extra))
-    if op == "mld.transformer":
-        # Featurizer output columns are positional features.
-        transformer = node.attrs["transformer"]
-        width = getattr(transformer, "n_features_out_", None)
-        if width is None:
-            return infer_schema(graph, graph.node(node.inputs[0]))
-        return Schema(
-            tuple(Column(f"f{i}", DataType.FLOAT) for i in range(int(width)))
-        )
     if op == "udf.python":
         child = infer_schema(graph, graph.node(node.inputs[0]))
         extra = tuple(
@@ -113,14 +104,9 @@ def columns_required_above(graph: IRGraph, node: IRNode) -> set[str] | None:
             return None
         for expr in _node_expressions(current):
             required.update(ref.split(".")[-1].lower() for ref in expr.columns())
-        if current.op in ("mld.pipeline", "mld.predictor", "la.tensor_graph"):
+        if current.op in ("mld.pipeline", "la.tensor_graph"):
             names = current.attrs.get("feature_names") or []
             required.update(n.lower() for n in names)
-        if current.op == "mld.clustered_predictor":
-            names = current.attrs.get("feature_names") or []
-            required.update(n.lower() for n in names)
-            cluster_names = current.attrs.get("cluster_feature_names") or []
-            required.update(n.lower() for n in cluster_names)
         to_visit.extend(graph.parents_of(current))
     return required
 

@@ -1,12 +1,6 @@
 """The cross-optimizer: memo engine, rules, cost model, model rewrites."""
 
-from repro.core.optimizer.engine import (
-    CostBasedOptimizer,
-    HeuristicOptimizer,
-    OptimizationReport,
-    UnifiedOptimizer,
-    default_rules,
-)
+from repro.core.optimizer.engine import OptimizationReport, UnifiedOptimizer
 from repro.core.optimizer.memo import Memo, MemoStats
 from repro.core.optimizer.rule import Rule, RuleContext
 from repro.core.optimizer.search import (
@@ -19,10 +13,7 @@ from repro.core.optimizer.search import (
 )
 
 __all__ = [
-    "CostBasedOptimizer",
     "cross_ir_rules",
-    "default_rules",
-    "HeuristicOptimizer",
     "Memo",
     "MemoOptimizer",
     "MemoReport",

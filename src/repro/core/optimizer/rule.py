@@ -1,9 +1,10 @@
-"""Transformation-rule protocol for the cross-optimizer.
+"""Rule protocol for the cross-optimizer's IR post-pass.
 
-Every §4 optimization is a :class:`Rule`: it inspects an IR graph, decides
-whether it applies, and performs a rewrite. Rules are applied by the
-engines in :mod:`repro.core.optimizer.engine`; each application is recorded
-so tests and EXPERIMENTS.md can assert which optimizations fired.
+An IR :class:`Rule` inspects an IR graph, decides whether it applies,
+and rewrites it in place.
+:class:`~repro.core.optimizer.engine.UnifiedOptimizer` runs these after
+the memo search; each application is recorded so tests and ``EXPLAIN``
+can show which optimizations fired.
 """
 
 from __future__ import annotations
@@ -13,48 +14,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.ir.graph import IRGraph
-from repro.core.ir.nodes import IRNode
 
 
 @dataclass
 class RuleContext:
     """Shared services rules may consult.
 
-    ``database`` gives access to catalog statistics (the paper's
-    "data properties"); ``options`` carries optimizer knobs.
+    ``database`` gives access to the stored data (the paper's "data
+    properties"); ``applied`` logs every rule that fired.
     """
 
     database: object | None = None
-    options: dict = field(default_factory=dict)
     applied: list[str] = field(default_factory=list)
 
     def record(self, rule_name: str, detail: str = "") -> None:
         entry = rule_name if not detail else f"{rule_name}: {detail}"
         self.applied.append(entry)
-
-    # -- statistics helpers ---------------------------------------------------
-
-    def table_rows(self, table_name: str) -> int | None:
-        if self.database is None:
-            return None
-        try:
-            return self.database.table(table_name).num_rows
-        except Exception:
-            return None
-
-    def table_statistics(self, table_name: str):
-        """Catalog :class:`~repro.relational.statistics.TableStatistics`.
-
-        The cross-optimizer prices plans from the same histograms and
-        NDV counts the SQL-side physical planner uses; ``None`` when the
-        table (or a catalog) is unavailable.
-        """
-        if self.database is None:
-            return None
-        try:
-            return self.database.catalog.table_statistics(table_name)
-        except Exception:
-            return None
 
     def is_unique_column(self, table_name: str, column: str) -> bool:
         """True when every value in ``table.column`` is distinct.
@@ -71,23 +46,6 @@ class RuleContext:
         except Exception:
             return False
         return len(np.unique(values)) == table.num_rows
-
-    def column_constants(self, table_name: str) -> dict[str, float]:
-        """Columns that hold a single distinct value (derived predicates).
-
-        The paper: "using data statistics, we might observe that only
-        specific unique values appear in the data"; those become facts for
-        predicate-based pruning even without a WHERE clause.
-        """
-        if self.database is None:
-            return {}
-        try:
-            table = self.database.table(table_name)
-        except Exception:
-            return {}
-        from repro.relational.statistics import constant_columns
-
-        return constant_columns(table)
 
 
 class Rule:
@@ -107,12 +65,3 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"<rule {self.name}>"
-
-
-def filters_below(graph: IRGraph, node: IRNode) -> list[IRNode]:
-    """All ra.filter nodes in the input subtree of ``node``."""
-    return [
-        candidate
-        for candidate in graph.walk_up(node)
-        if candidate.op == "ra.filter" and candidate.id != node.id
-    ]

@@ -1,59 +1,17 @@
-"""NN translation and tensor-graph constant folding (paper §4.2, §2).
+"""Tensor-graph constant folding (paper §4.2, §2).
 
-``NNTranslation`` compiles whole model pipelines (featurizers included)
-into tensor graphs so the NN runtime executes them — on CPU or the
-(simulated) GPU. ``TensorGraphConstantFolding`` then runs the
-compiler-style passes of :mod:`repro.tensor.optimizer` over any tensor
-graph in the plan, which is where predicate-derived constants propagate
-into the network.
+NN translation (the memo's ``NNTranslation`` rule) compiles whole model
+pipelines into tensor graphs. ``TensorGraphConstantFolding`` then runs
+the compiler-style passes of :mod:`repro.tensor.optimizer` over any
+tensor graph in the plan, which is where predicate-derived constants
+propagate into the network.
 """
 
 from __future__ import annotations
 
-from repro.errors import UnsupportedOpError
 from repro.core.ir.graph import IRGraph
 from repro.core.optimizer.rule import Rule, RuleContext
-from repro.tensor.converters import convert
 from repro.tensor.optimizer import optimize as optimize_tensor_graph
-
-
-class NNTranslation(Rule):
-    """mld.pipeline -> la.tensor_graph via the converter library."""
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        changed = False
-        device = context.options.get("device", "cpu")
-        for node in list(graph.find("mld.pipeline")):
-            pipeline = node.attrs["pipeline"]
-            try:
-                tensor_graph = convert(pipeline)
-            except UnsupportedOpError:
-                continue
-            attrs = {
-                key: node.attrs[key]
-                for key in (
-                    "output_columns",
-                    "alias",
-                    "model_ref",
-                    "feature_names",
-                )
-                if key in node.attrs
-            }
-            replacement = graph.add(
-                "la.tensor_graph",
-                list(node.inputs),
-                graph=tensor_graph,
-                device=device,
-                **attrs,
-            )
-            graph.replace(node, replacement)
-            graph.garbage_collect()
-            context.record(
-                self.name,
-                f"{len(tensor_graph.nodes)} tensor ops on {device}",
-            )
-            changed = True
-        return changed
 
 
 class TensorGraphConstantFolding(Rule):

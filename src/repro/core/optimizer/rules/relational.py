@@ -1,9 +1,9 @@
 """Standard DB optimizations over the unified IR (paper §2, §4).
 
-These are the classical rewrites the cross-optimizer triggers *because*
-model-level rules created the opportunity: filters commute with PREDICT
-(enabling predicate-based pruning), and joins become eliminable once
-model-projection pushdown removed the columns they provided.
+These are the classical rewrites the cross-optimizer's IR post-pass
+runs *because* model-level memo rules created the opportunity: joins
+become eliminable once model-projection pushdown removed the columns
+they provided, and projections narrow to what is still referenced.
 """
 
 from __future__ import annotations
@@ -18,60 +18,6 @@ from repro.relational.expressions import (
     conjoin,
     conjuncts,
 )
-
-_PREDICT_OPS = ("mld.pipeline", "mld.clustered_predictor", "la.tensor_graph")
-
-
-def _output_column_names(node: IRNode) -> set[str]:
-    """Unqualified + qualified names a scoring node appends."""
-    names: set[str] = set()
-    alias = node.attrs.get("alias")
-    for name, _dtype in node.attrs.get("output_columns", ()):  # type: ignore[assignment]
-        names.add(name.lower())
-        if alias:
-            names.add(f"{alias}.{name}".lower())
-    return names
-
-
-class PushFilterBelowPredict(Rule):
-    """Move predicate conjuncts that only touch model *inputs* below a
-    scoring operator.
-
-    PREDICT appends columns and never changes rows, so any conjunct not
-    referencing the prediction outputs commutes with it. This is the
-    enabling step for predicate-based model pruning: the filter ends up
-    adjacent to the data, and its facts flow into the model.
-    """
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        changed = False
-        for filter_node in list(graph.find("ra.filter")):
-            child = graph.node(filter_node.inputs[0])
-            if child.op not in _PREDICT_OPS:
-                continue
-            if len(graph.parents_of(child)) > 1:
-                continue  # shared scoring node: do not re-route
-            outputs = _output_column_names(child)
-            parts = conjuncts(filter_node.attrs["predicate"])
-            pushable = [
-                p
-                for p in parts
-                if not ({c.lower() for c in p.columns()} & outputs)
-            ]
-            blocked = [p for p in parts if p not in pushable]
-            if not pushable:
-                continue
-            # Insert the pushable part below the scoring node.
-            graph.insert_below(
-                child, 0, "ra.filter", predicate=conjoin(pushable)
-            )
-            if blocked:
-                filter_node.attrs["predicate"] = conjoin(blocked)
-            else:
-                graph.splice_out(filter_node)
-            context.record(self.name, f"pushed {len(pushable)} conjunct(s)")
-            changed = True
-        return changed
 
 
 class PushFilterIntoJoin(Rule):
@@ -152,6 +98,8 @@ class PruneProjectionItems(Rule):
         for project in list(graph.find("ra.project")):
             if project.id == graph.output.id or project.id == protected:
                 continue
+            if any(p.op == "ra.union_all" for p in graph.parents_of(project)):
+                continue  # union branches align by position: keep widths
             items = project.attrs.get("items")
             if not items:
                 continue

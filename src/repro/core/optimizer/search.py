@@ -9,8 +9,9 @@ Every planner in the system drives plan search through this module:
   projection pushdown) and extracts the cheapest plan.
 * ``RavenSession.optimize`` — the cross-IR optimizer converts the
   unified IR to a logical tree (:func:`ir_to_logical`), adds the ML
-  rules that change execution strategy (model inlining), searches the
-  same memo, and lowers the winner back (:func:`logical_to_ir`).
+  rules that change execution strategy (model inlining, plus the
+  opt-in model/query splitting and NN translation), searches the same
+  memo, and lowers the winner back (:func:`logical_to_ir`).
 
 Relational and ML transformations therefore compete as *memo rules
 under one cost model*, which is the paper's §4.3 "Cascades-style
@@ -19,11 +20,11 @@ programming inside the memo: every join subset becomes a memo group,
 bushy shapes are allowed, and the search falls back to the PR 2 greedy
 heuristic above a size guard.
 
-Cost weights mirror :mod:`repro.core.optimizer.cost` for relational
-operators; scoring operators additionally charge per consumed feature
-(so narrowed models win) and inlined CASE projections are priced from
-their vectorized evaluation (calibrated against the Fig. 2(c)
-inlining benchmark) rather than per expression node.
+Scoring operators are priced per row from the model's shape plus a
+charge per consumed feature (so narrowed models win); inlined CASE
+projections are priced from their vectorized evaluation (calibrated
+against the Fig. 2(c) inlining benchmark) rather than per expression
+node.
 """
 
 from __future__ import annotations
@@ -60,7 +61,15 @@ from repro.core.optimizer.ml_rewrites import (
     pipeline_to_expression,
     split_pipeline,
 )
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, UnsupportedOpError
+from repro.ml.ensemble import (
+    GradientBoostingRegressor,
+    RandomForestClassifier,
+    RandomForestRegressor,
+)
+from repro.ml.linear import Lasso, LinearRegression, LogisticRegression, Ridge
+from repro.ml.preprocessing import MinMaxScaler, StandardScaler
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.relational.algebra import logical
 from repro.relational.expressions import (
     BinaryOp,
@@ -103,7 +112,7 @@ LEGACY_MAX_RELATIONS = 6
 
 # -- cost model --------------------------------------------------------------
 
-ENGINE_SWITCH_COST = 500.0  # hand a batch across engines (see cost.py)
+ENGINE_SWITCH_COST = 500.0  # hand a batch across engines
 FEATURE_COST = 0.2  # per row, per feature a scoring operator consumes
 CASE_NODE_WEIGHT = 0.02  # vectorized CASE evaluation, per expression node
 COLUMN_ITEM_COST = 0.05  # projecting an existing column is a dict re-pick
@@ -142,9 +151,22 @@ def _item_cost(expr: Expression) -> float:
 
 
 def _pipeline_row_cost(pipeline) -> float:
-    from repro.core.optimizer import cost as ir_cost
-
-    return ir_cost._pipeline_row_cost(pipeline)
+    """Per-row scoring cost of an in-process pipeline."""
+    transformers, predictor = split_pipeline(pipeline)
+    cost = 2.0 * len(transformers)
+    tree = getattr(predictor, "tree_", None)
+    if tree is not None:
+        return cost + tree.max_depth() * 1.5
+    estimators = getattr(predictor, "estimators_", None)
+    if estimators:
+        return cost + sum(t.tree_.max_depth() * 1.5 for t in estimators)
+    coef = getattr(predictor, "coef_", None)
+    if coef is not None:
+        return cost + 0.1 * len(coef)
+    coefs = getattr(predictor, "coefs_", None)
+    if coefs:
+        return cost + 0.05 * sum(w.size for w in coefs)
+    return cost + 10.0
 
 
 def predict_row_cost(op: logical.Predict, ctx: "SearchContext") -> float:
@@ -216,11 +238,7 @@ def operator_cost(
     child_rows: list[float],
     ctx: "SearchContext",
 ) -> float:
-    """Total cost of one operator given its (group) cardinalities.
-
-    Relational weights match :func:`repro.core.optimizer.cost.node_cost`
-    so the memo and the legacy IR coster rank plans consistently.
-    """
+    """Total cost of one operator given its (group) cardinalities."""
     if isinstance(op, (logical.Scan, logical.InlineTable, ShardScan)):
         return rows * 0.1
     if isinstance(op, Gather):
@@ -1468,6 +1486,30 @@ class ModelProjectionPushdownRule(MemoRule):
         return logical.Project(child, items)
 
 
+_INLINABLE = (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    LinearRegression,
+    LogisticRegression,
+    Ridge,
+    Lasso,
+    RandomForestClassifier,
+    RandomForestRegressor,
+    GradientBoostingRegressor,
+)
+
+
+def _total_tree_nodes(predictor) -> int | None:
+    """Combined node count across the predictor's trees (None = no trees)."""
+    tree = getattr(predictor, "tree_", None)
+    if tree is not None:
+        return tree.node_count
+    estimators = getattr(predictor, "estimators_", None)
+    if estimators:
+        return sum(t.tree_.node_count for t in estimators)
+    return None
+
+
 class ModelInliningRule(MemoRule):
     """Replace small tree/linear pipelines with inline SQL expressions.
 
@@ -1491,12 +1533,10 @@ class ModelInliningRule(MemoRule):
         pipeline, feature_names = resolved
         if not feature_names:
             return []
-        from repro.core.optimizer.rules import inlining as ir_inlining
-
         _, predictor = split_pipeline(pipeline)
-        if not isinstance(predictor, ir_inlining._INLINABLE):
+        if not isinstance(predictor, _INLINABLE):
             return []
-        total_nodes = ir_inlining._total_tree_nodes(predictor)
+        total_nodes = _total_tree_nodes(predictor)
         if total_nodes is not None and total_nodes > self.max_tree_nodes:
             return []  # CASE expression would explode; leave to NN path
         try:
@@ -1518,6 +1558,160 @@ class ModelInliningRule(MemoRule):
             f"({total_nodes if total_nodes is not None else 'linear'} nodes)",
         )
         return [logical.Project(child, tuple(items))]
+
+
+def _shrink_model(
+    plan: logical.Predict, ctx: SearchContext
+) -> logical.Predict:
+    """``plan`` with its model shrunk by the data-driven rewrites.
+
+    The forced strategy rules start from here: a substitution disables
+    the matched Predict before the competitive rules run on it, so
+    predicate-based pruning and projection pushdown are applied first
+    (as rewrites of the one plan, not as alternatives).
+    """
+    for rewrite in (
+        PredicateBasedModelPruningRule(),
+        ModelProjectionPushdownRule(insert_projection=False),
+    ):
+        plan = (rewrite.apply(plan, ctx) or [plan])[0]
+    return plan
+
+
+class ModelQuerySplittingRule(MemoRule):
+    """Split a tree-pipeline Predict into a UNION ALL of pruned branches.
+
+    Model/query splitting (paper §2): the tree's root test becomes a
+    filter on each branch, and each branch scores with the model pruned
+    to its side of the test — the kinship with model cascades the paper
+    notes. Opt-in (``enable_splitting``) and a substitution, so the
+    split is forced rather than priced against the unsplit plan. The
+    split works on the pruned model (:func:`_shrink_model`). Each
+    branch carries a ``split`` marker in ``extra`` so it is never split
+    again; the competitive rewrites (pruning, inlining, backends) still
+    apply to it.
+    """
+
+    name = "ModelQuerySplitting"
+    substitute = True
+
+    #: Smaller trees are not worth a second scan of the input.
+    MIN_TREE_NODES = 5
+
+    def apply(self, plan, ctx):
+        if not isinstance(plan, logical.Predict):
+            return []
+        if ("split", True) in plan.extra:
+            return []
+        plan = _shrink_model(plan, ctx)
+        resolved = ctx.pipeline_for(plan)
+        if resolved is None or not resolved[1]:
+            return []
+        pipeline, feature_names = resolved
+        transformers, predictor = split_pipeline(pipeline)
+        if not isinstance(
+            predictor, (DecisionTreeClassifier, DecisionTreeRegressor)
+        ):
+            return []
+        tree = predictor.tree_
+        if tree.node_count < self.MIN_TREE_NODES or tree.is_leaf(0):
+            return []
+        # The root feature must trace back to one input column through
+        # width-preserving scalers only (so the raw-space threshold is
+        # recoverable).
+        if not all(
+            isinstance(t, (StandardScaler, MinMaxScaler)) for t in transformers
+        ):
+            return []
+        feature = int(tree.feature[0])
+        threshold = float(tree.threshold[0])
+        for transformer in reversed(transformers):
+            if isinstance(transformer, StandardScaler):
+                threshold = (
+                    threshold * transformer.scale_[feature]
+                    + transformer.mean_[feature]
+                )
+            else:
+                threshold = (
+                    threshold * transformer.range_[feature]
+                    + transformer.min_[feature]
+                )
+        above = float(math.nextafter(threshold, math.inf))
+        try:
+            sides = [
+                (op, apply_predicate_pruning(pipeline, ColumnFacts(bounds=b)))
+                for op, b in (
+                    ("<=", {feature: (-math.inf, threshold)}),
+                    (">", {feature: (above, math.inf)}),
+                )
+            ]
+        except UnsupportedRewrite:
+            return []
+        column = feature_names[feature]
+        branches = tuple(
+            logical.Predict(
+                logical.Filter(
+                    plan.child,
+                    BinaryOp(op, ColumnRef(column), Literal(threshold)),
+                ),
+                plan.model_ref,
+                plan.output_columns,
+                plan.alias,
+                plan.batch_size,
+                "ml.pipeline",
+                rewrite.pipeline,
+                tuple(feature_names[i] for i in rewrite.kept_inputs),
+                plan.extra + (("split", True),),
+            )
+            for op, rewrite in sides
+        )
+        ctx.record(self.name, f"split on {column} <= {threshold:.4g}")
+        return [logical.UnionAll(branches)]
+
+
+class NNTranslationRule(MemoRule):
+    """Compile an ``ml.pipeline`` Predict into a tensor graph (§4.2).
+
+    The NN runtime then scores the whole pipeline, featurizers
+    included, on the configured ``device``. Opt-in
+    (``enable_nn_translation``) and a substitution, so the translation
+    is forced. The network is built from the pruned model
+    (:func:`_shrink_model`).
+    """
+
+    name = "NNTranslation"
+    substitute = True
+
+    def apply(self, plan, ctx):
+        if not isinstance(plan, logical.Predict):
+            return []
+        if ctx.pipeline_for(plan) is None:
+            return []
+        from repro.tensor.converters import convert
+
+        plan = _shrink_model(plan, ctx)
+        pipeline, feature_names = ctx.pipeline_for(plan)
+        try:
+            tensor_graph = convert(pipeline)
+        except UnsupportedOpError:
+            return []
+        device = ctx.options.get("device", "cpu")
+        ctx.record(
+            self.name, f"{len(tensor_graph.nodes)} tensor ops on {device}"
+        )
+        return [
+            logical.Predict(
+                plan.child,
+                plan.model_ref,
+                plan.output_columns,
+                plan.alias,
+                plan.batch_size,
+                "tensor.graph",
+                tensor_graph,
+                feature_names,
+                plan.extra + (("device", device),),
+            )
+        ]
 
 
 class ShardedExecutionRule(MemoRule):
@@ -2231,6 +2425,10 @@ def cross_ir_rules(options: dict | None = None) -> list[MemoRule]:
                 max_tree_nodes=int(options.get("max_inline_nodes", 255))
             )
         )
+    if options.get("enable_splitting"):
+        rules.append(ModelQuerySplittingRule())
+    if options.get("enable_nn_translation"):
+        rules.append(NNTranslationRule())
     return rules
 
 
@@ -2324,6 +2522,12 @@ class MemoOptimizer:
         for rule in self.rules:
             if rule.substitute is not substitute:
                 continue
+            if expr.disabled:
+                # Already replaced by an earlier substitution: the
+                # replacement gets its own substitution pass, so later
+                # rules (e.g. NN translation after splitting) apply to
+                # it in rule order instead of racing it on cost.
+                break
             marker = (rule.name, index)
             if marker in group.done:
                 continue
@@ -2430,7 +2634,7 @@ def ir_to_logical(graph: IRGraph) -> logical.LogicalOp:
     logical object — the memo's identity map then interns the shared
     subtree into a single group, so it is explored and priced exactly
     once. Raises :class:`PlanConversionError` for unconvertible
-    operators — callers fall back to the legacy rule pipeline.
+    operators.
     """
     built: dict[int, logical.LogicalOp] = {}
 
@@ -2442,9 +2646,8 @@ def ir_to_logical(graph: IRGraph) -> logical.LogicalOp:
             result = _build_node(node)
         except KeyError as exc:
             # Graphs from other analyzers (e.g. the Python static
-            # analyzer) may omit attrs this bridge requires; that is a
-            # conversion failure, not a crash — callers fall back to
-            # the legacy rule pipeline.
+            # analyzer) may omit attrs this bridge requires; report
+            # that as a conversion failure, not a bare KeyError.
             raise PlanConversionError(
                 f"IR node {node.op!r} lacks attr {exc}"
             ) from exc

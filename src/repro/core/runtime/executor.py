@@ -281,24 +281,6 @@ class RavenExecutor:
             self._compiled_cache[key] = (pipeline, scorer)
         return scorer
 
-    def _run_mld_predictor(self, node: IRNode, inputs: list[Table]) -> Table:
-        model = node.attrs["model"]
-        features = node.attrs.get("feature_names")
-        predictions = self._score_chunked(
-            inputs[0], features, lambda m: model.predict(m)
-        )
-        return self._append_outputs(node, inputs[0], predictions)
-
-    def _run_mld_clustered_predictor(
-        self, node: IRNode, inputs: list[Table]
-    ) -> Table:
-        model = node.attrs["model"]
-        features = node.attrs.get("feature_names")
-        predictions = self._score_chunked(
-            inputs[0], features, lambda m: model.predict(m)
-        )
-        return self._append_outputs(node, inputs[0], predictions)
-
     def _run_la_tensor_graph(self, node: IRNode, inputs: list[Table]) -> Table:
         session = self._session_for(node)
         features = node.attrs.get("feature_names")

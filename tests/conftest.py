@@ -15,6 +15,41 @@ from repro.ml import (
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "allow_rule_errors: the test deliberately makes a memo rule raise",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _strict_memo_rules(request, monkeypatch):
+    """Fail any test in which a memo search swallowed a rule exception.
+
+    ``MemoOptimizer`` counts a raising rule in ``MemoStats.rule_errors``
+    and keeps searching, so a broken rule would otherwise only lose
+    plans silently. Tests that break a rule on purpose opt out with
+    ``@pytest.mark.allow_rule_errors``.
+    """
+    from repro.core.optimizer.search import MemoOptimizer
+
+    original = MemoOptimizer.optimize
+    swallowed: list[int] = []
+
+    def optimize(self, plan):
+        best, report = original(self, plan)
+        if report.stats.rule_errors:
+            swallowed.append(report.stats.rule_errors)
+        return best, report
+
+    monkeypatch.setattr(MemoOptimizer, "optimize", optimize)
+    yield
+    if request.node.get_closest_marker("allow_rule_errors") is None:
+        assert not swallowed, (
+            f"memo searches swallowed {sum(swallowed)} rule exception(s)"
+        )
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_pool_runtimes():
     """Fail any test that leaves a live worker pool behind.

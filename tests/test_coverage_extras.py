@@ -5,8 +5,7 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis.knowledge_base import DEFAULT_KNOWLEDGE_BASE, KnowledgeBase
-from repro.core.optimizer.cost import DEFAULT_ROWS, estimate_rows, plan_cost
-from repro.core.optimizer.rule import RuleContext
+from repro.core.optimizer.search import SearchContext, ir_to_logical
 from repro.errors import (
     BindError,
     ExecutionError,
@@ -117,28 +116,39 @@ class TestKnowledgeBase:
 class TestCostModel:
     def test_default_rows_without_database(self):
         from repro.core.ir.graph import IRGraph
+        from repro.relational.statistics import DEFAULT_ROW_ESTIMATE
 
         graph = IRGraph()
         scan = graph.add(
             "ra.scan", table="ghost", schema=Schema.of(("a", DataType.FLOAT))
         )
         graph.set_output(scan)
-        context = RuleContext()  # no database attached
-        assert estimate_rows(graph, scan, context) == float(DEFAULT_ROWS)
+        plan = ir_to_logical(graph)
+        context = SearchContext()  # no catalog attached
+        context.prepare(plan)
+        assert context.estimate_tree(plan) == float(DEFAULT_ROW_ESTIMATE)
 
     def test_filter_reduces_estimated_rows(self, simple_db):
         from repro.core.analysis import SQLAnalyzer
 
-        graph_all = SQLAnalyzer(simple_db).analyze("SELECT id FROM people")
-        graph_some = SQLAnalyzer(simple_db).analyze(
+        def bridged(sql):
+            plan = ir_to_logical(SQLAnalyzer(simple_db).analyze(sql))
+            context = SearchContext(catalog=simple_db.catalog, models=simple_db)
+            context.prepare(plan)
+            return plan, context
+
+        plan_all, context_all = bridged("SELECT id FROM people")
+        plan_some, context_some = bridged(
             "SELECT id FROM people WHERE age > 30 AND id > 1"
         )
-        context = RuleContext(database=simple_db)
-        assert plan_cost(graph_some, context) != plan_cost(graph_all, context)
-        filter_node = graph_some.find("ra.filter")[0]
-        scan = graph_some.find("ra.scan")[0]
-        assert estimate_rows(graph_some, filter_node, context) < estimate_rows(
-            graph_some, scan, context
+        assert context_some.cost_tree(plan_some) != context_all.cost_tree(
+            plan_all
+        )
+        ops = list(plan_some.walk())
+        filter_op = next(op for op in ops if isinstance(op, logical.Filter))
+        scan = next(op for op in ops if isinstance(op, logical.Scan))
+        assert context_some.estimate_tree(filter_op) < (
+            context_some.estimate_tree(scan)
         )
 
 

@@ -541,7 +541,6 @@ class TestServingIntegration:
 
         return RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
 
@@ -1234,7 +1233,6 @@ class TestDistributedJoins:
         )
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         prepared = PreparedQuery(
@@ -1596,7 +1594,6 @@ class TestDagFragments:
         db = outer_join_db(events, groups, 8, 5)
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         sql = AGG_JOIN_SQL.format(kind="LEFT")
@@ -1618,7 +1615,6 @@ class TestDagFragments:
         db = outer_join_db(events, groups, 8, 5)
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         server = RavenServer(session, workers=2, max_queue=16)

@@ -241,6 +241,33 @@ PREDICT_SQL = (
 )
 
 
+class TestRuleErrors:
+    @pytest.mark.allow_rule_errors
+    def test_raising_rule_is_counted_and_rows_stay_right(self, monkeypatch):
+        """A rule bug costs its alternatives, never the query's rows."""
+        from repro.core.optimizer import search
+
+        class RaisingRule(search.MemoRule):
+            def apply(self, plan, ctx):
+                raise RuntimeError("deliberate rule bug")
+
+        rules = search.cross_ir_rules
+        monkeypatch.setattr(
+            search,
+            "cross_ir_rules",
+            lambda options=None: rules(options) + [RaisingRule()],
+        )
+        db = _scored_db(800)
+        session = RavenSession(db)
+        sql = PREDICT_SQL.format(verb="")
+        result = session.execute(sql)
+        assert result.report.memo["rule_errors"] > 0
+        assert result.report.strategy == "memo"
+        baseline = session.execute(sql, optimize=False)
+        assert result.table.num_rows > 0
+        assert _row_multiset(result.table) == _row_multiset(baseline.table)
+
+
 class TestUnifiedEngineAcceptance:
     def test_ml_and_relational_rules_fire_in_sql_explain(self):
         db = _scored_db()

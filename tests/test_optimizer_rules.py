@@ -1,32 +1,44 @@
-"""Tests for the IR-level cross-optimizer rules and engines."""
+"""Tests for the cross-optimizer's rules: memo rewrites, the IR post-pass,
+and the memo's cost model."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis import SQLAnalyzer
-from repro.core.optimizer import (
-    CostBasedOptimizer,
-    HeuristicOptimizer,
-    RuleContext,
-    default_rules,
-)
-from repro.core.optimizer.cost import plan_cost
-from repro.core.optimizer.rules import (
-    JoinElimination,
-    ModelInlining,
-    ModelProjectionPushdown,
-    ModelQuerySplitting,
-    NNTranslation,
-    PredicateBasedModelPruning,
-    PushFilterBelowPredict,
-    compile_clustered_pipeline,
-)
+from repro.core.optimizer import MemoOptimizer, SearchContext, cross_ir_rules
+from repro.core.optimizer.rules import compile_clustered_pipeline
+from repro.core.optimizer.search import ir_to_logical
 from repro.data import flights, hospital
 
 
 def analyze(db, sql):
     return SQLAnalyzer(db).analyze(sql)
+
+
+def search_context(db):
+    return SearchContext(catalog=db.catalog, models=db)
+
+
+def memo_search(db, sql, rules=None):
+    """``(best logical plan, MemoReport)`` of one memo search."""
+    rules = cross_ir_rules() if rules is None else rules
+    optimizer = MemoOptimizer(rules, search_context(db))
+    return optimizer.optimize(ir_to_logical(analyze(db, sql)))
+
+
+def unoptimized_cost(db, sql):
+    """The memo cost model's price of the unoptimized plan."""
+    plan = ir_to_logical(analyze(db, sql))
+    context = search_context(db)
+    context.prepare(plan)
+    return context.cost_tree(plan)
+
+
+def tree_nodes(pipeline):
+    return pipeline.final_estimator.tree_.node_count
 
 
 @pytest.fixture()
@@ -37,9 +49,9 @@ def hospital_env():
 class TestFilterPushdown:
     def test_input_conjunct_moves_below_predict(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        assert PushFilterBelowPredict().apply(graph, context)
+        session = RavenSession(db, options={"enable_inlining": False})
+        graph, report = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
+        assert any(r.startswith("PushFilterBelowPredict") for r in report.applied)
         predict = graph.find("mld.pipeline")[0]
         below = graph.node(predict.inputs[0])
         assert below.op == "ra.filter"
@@ -50,22 +62,21 @@ class TestFilterPushdown:
 
     def test_idempotent(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        PushFilterBelowPredict().apply(graph, context)
-        assert not PushFilterBelowPredict().apply(graph, context)
+        rules = cross_ir_rules({"enable_inlining": False})
+        best, first = memo_search(db, hospital.INFERENCE_QUERY, rules)
+        assert "PushFilterBelowPredict" in first.stats.fired_rule_names()
+        _, second = MemoOptimizer(rules, search_context(db)).optimize(best)
+        assert "PushFilterBelowPredict" not in second.stats.fired_rule_names()
 
 
 class TestPredicatePruning:
     def test_tree_shrinks_and_inputs_narrow(self, hospital_env):
         db, _, pipeline = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        PushFilterBelowPredict().apply(graph, context)
-        assert PredicateBasedModelPruning().apply(graph, context)
+        session = RavenSession(db, options={"enable_inlining": False})
+        graph, report = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
+        assert any(r.startswith("PredicateBasedModelPruning") for r in report.applied)
         node = graph.find("mld.pipeline")[0]
-        detail = node.attrs["pruning_detail"]
-        assert detail["nodes_after"] < detail["nodes_before"]
+        assert tree_nodes(node.attrs["pipeline"]) < tree_nodes(pipeline)
         assert len(node.attrs["feature_names"]) < len(
             hospital.QUERY_FEATURE_NAMES
         )
@@ -96,12 +107,15 @@ class TestPredicatePruning:
             "SELECT p.y FROM PREDICT(MODEL = @m, DATA = rows AS d) "
             "WITH (y float) AS p"
         )
-        graph = analyze(db, sql)
-        context = RuleContext(
-            database=db, options={"derive_statistics_predicates": True}
+        session = RavenSession(
+            db,
+            options={
+                "derive_statistics_predicates": True,
+                "enable_inlining": False,
+            },
         )
-        fired = PredicateBasedModelPruning().apply(graph, context)
-        assert fired
+        graph, report = session.optimize(session.analyze(sql))
+        assert any(r.startswith("PredicateBasedModelPruning") for r in report.applied)
         node = graph.find("mld.pipeline")[0]
         assert node.attrs["feature_names"] == ["x"]
 
@@ -116,13 +130,16 @@ class TestProjectionPushdownRule:
             "PREDICT(MODEL = @m, DATA = flights AS d) "
             "WITH (delayed_pred float) AS p"
         )
-        graph = analyze(db, sql)
-        context = RuleContext(database=db)
-        assert ModelProjectionPushdown().apply(graph, context)
-        node = graph.find("mld.pipeline")[0]
-        detail = node.attrs["projection_detail"]
+        session = RavenSession(db, options={"enable_inlining": False})
+        graph, report = session.optimize(session.analyze(sql))
+        pushdowns = [
+            r for r in report.applied if r.startswith("ModelProjectionPushdown")
+        ]
         # L1 zeroed some one-hot category weights: the model got narrower.
-        assert detail["features_dropped"] > 0
+        assert pushdowns
+        dropped = re.search(r"'features_dropped': (\d+)", pushdowns[0])
+        assert int(dropped.group(1)) > 0
+        node = graph.find("mld.pipeline")[0]
         assert len(node.attrs["feature_names"]) <= len(flights.FEATURE_NAMES)
         if len(node.attrs["feature_names"]) < len(flights.FEATURE_NAMES):
             # Whole input columns died too: data projection inserted.
@@ -219,13 +236,62 @@ class TestSplitting:
             db, options={"enable_splitting": True, "enable_inlining": False}
         )
         result = session_split.execute(hospital.INFERENCE_QUERY)
-        assert any("ModelQuerySplitting" in r for r in result.report.applied)
+        splits = [r for r in result.report.applied if "ModelQuerySplitting" in r]
+        # The split works on the pruned model, so never on a column the
+        # WHERE clause already fixes (pregnant = 1).
+        assert splits and "pregnant" not in splits[0]
         assert result.plan.find("ra.union_all")
+        assert result.report.strategy == "memo"
+        assert result.report.memo["rule_errors"] == 0
         # Same rows as the unsplit plan.
         plain = RavenSession(db).execute(hospital.INFERENCE_QUERY)
         assert sorted(result.table.column("id").tolist()) == sorted(
             plain.table.column("id").tolist()
         )
+
+    def test_inlined_branch_keeps_union_width(self, hospital_env):
+        """The memo inlines one branch here and scores the other in
+        process; projection pruning must not narrow the inlined one,
+        since UNION ALL aligns its branches by position."""
+        db, _, _ = hospital_env
+        result = RavenSession(db, options={"enable_splitting": True}).execute(
+            hospital.INFERENCE_QUERY
+        )
+        (union,) = result.plan.find("ra.union_all")
+        assert sorted(result.plan.node(i).op for i in union.inputs) == [
+            "mld.pipeline",
+            "ra.project",
+        ]
+        plain = RavenSession(db).execute(hospital.INFERENCE_QUERY)
+        assert sorted(result.table.column("id").tolist()) == sorted(
+            plain.table.column("id").tolist()
+        )
+
+    @pytest.mark.parametrize(
+        "nn_translation, scoring_op",
+        [(False, "mld.pipeline"), (True, "la.tensor_graph")],
+    )
+    def test_branches_are_not_split_again(
+        self, hospital_env, nn_translation, scoring_op
+    ):
+        """Exactly two scoring branches; with NN translation on too, each
+        branch is translated (the split is not raced by translation)."""
+        db, _, _ = hospital_env
+        session = RavenSession(
+            db,
+            options={
+                "enable_splitting": True,
+                "enable_inlining": False,
+                "enable_nn_translation": nn_translation,
+            },
+        )
+        graph, report = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
+        (union,) = graph.find("ra.union_all")
+        branches = [graph.node(i) for i in union.inputs]
+        assert [b.op for b in branches] == [scoring_op, scoring_op]
+        assert len(graph.find(scoring_op)) == 2
+        splits = [r for r in report.applied if r.startswith("ModelQuerySplitting")]
+        assert len(splits) == 1
 
 
 class TestInliningRule:
@@ -253,7 +319,14 @@ class TestNNTranslationRule:
         )
         result = session.execute(hospital.INFERENCE_QUERY)
         assert any("NNTranslation" in r for r in result.report.applied)
-        assert result.plan.find("la.tensor_graph")
+        (node,) = result.plan.find("la.tensor_graph")
+        assert node.attrs["device"] == "cpu"
+        # Translated from the predicate-pruned model.
+        assert len(node.attrs["feature_names"]) < len(
+            hospital.QUERY_FEATURE_NAMES
+        )
+        assert result.report.strategy == "memo"
+        assert result.report.memo["rule_errors"] == 0
         # And results still match the in-process plan.
         plain = RavenSession(
             db, options={"enable_inlining": False}
@@ -294,25 +367,9 @@ class TestClusteredModel:
 class TestEnginesAndCost:
     def test_cost_based_reduces_cost(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        optimized, report = CostBasedOptimizer().optimize(
-            graph, RuleContext(database=db)
-        )
+        session = RavenSession(db)
+        _, report = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
         assert report.cost_after < report.cost_before
-
-    def test_cost_based_picks_a_strategy(self, hospital_env):
-        db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        optimized, report = CostBasedOptimizer().optimize(
-            graph, RuleContext(database=db)
-        )
-        assert report.alternatives_considered == 4
-        assert report.strategy in (
-            "in-process",
-            "inline",
-            "nn-translate",
-            "split+inline",
-        )
 
     def test_engine_assignment(self, hospital_env):
         db, _, _ = hospital_env
@@ -322,26 +379,19 @@ class TestEnginesAndCost:
         assert "relational" in engines
         assert "python" in engines  # the in-process pipeline node
 
-    def test_plan_cost_monotone_in_rows(self):
+    def test_memo_cost_monotone_in_rows(self):
         small_db, _, _ = hospital.setup_database(500, seed=1, max_depth=4)
         big_db, _, _ = hospital.setup_database(5000, seed=1, max_depth=4)
-        small_graph = analyze(small_db, hospital.INFERENCE_QUERY)
-        big_graph = analyze(big_db, hospital.INFERENCE_QUERY)
-        assert plan_cost(
-            big_graph, RuleContext(database=big_db)
-        ) > plan_cost(small_graph, RuleContext(database=small_db))
+        big = unoptimized_cost(big_db, hospital.INFERENCE_QUERY)
+        assert big > unoptimized_cost(small_db, hospital.INFERENCE_QUERY)
 
     def test_rule_order_ablation(self, hospital_env):
-        """Pruning before inlining beats inlining alone (smaller CASE)."""
+        """The memo with predicate-based pruning costs no more than the
+        memo without it (pruning before inlining: a smaller CASE)."""
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        full = HeuristicOptimizer(default_rules())
-        no_pruning_rules = [
-            r
-            for r in default_rules()
-            if type(r).__name__ != "PredicateBasedModelPruning"
-        ]
-        partial = HeuristicOptimizer(no_pruning_rules)
-        _, full_report = full.optimize(graph, RuleContext(database=db))
-        _, partial_report = partial.optimize(graph, RuleContext(database=db))
-        assert full_report.cost_after <= partial_report.cost_after
+        rules = cross_ir_rules()
+        no_pruning = [r for r in rules if r.name != "PredicateBasedModelPruning"]
+        assert len(no_pruning) == len(rules) - 1
+        _, full = memo_search(db, hospital.INFERENCE_QUERY, rules)
+        _, partial = memo_search(db, hospital.INFERENCE_QUERY, no_pruning)
+        assert full.cost <= partial.cost

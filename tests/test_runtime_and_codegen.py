@@ -38,15 +38,18 @@ class TestRavenSessionEndToEnd:
 
     def test_all_optimizer_modes_agree(self, hospital_small):
         db, _, _ = hospital_small
-        reference = None
-        for kind in ("none", "heuristic", "cost"):
-            session = RavenSession(db, optimizer=kind)
-            ids = sorted(
-                session.execute(hospital.INFERENCE_QUERY).table.column("id").tolist()
-            )
-            if reference is None:
-                reference = ids
-            assert ids == reference, f"optimizer={kind} diverged"
+        session = RavenSession(db)
+        results = {
+            optimize: session.execute(hospital.INFERENCE_QUERY, optimize=optimize)
+            for optimize in (False, True)
+        }
+        assert results[False].report.strategy == "disabled"
+        assert results[True].report.strategy == "memo"
+        reference, optimized = (
+            sorted(results[flag].table.column("id").tolist())
+            for flag in (False, True)
+        )
+        assert optimized == reference
 
     def test_strategy_option_combinations_agree(self, hospital_small):
         db, _, _ = hospital_small
